@@ -78,28 +78,10 @@ class HandTunedMSan:
     # hand-tuned implementation copies shadow with word/SIMD moves, not
     # per-byte loads (same treatment as the generated code's range ops).
     def _set_range(self, address: int, n_bytes: int, label: int) -> None:
-        first = None
-        last = 0
-        for slot_addr, storage in self._shadow.slots_in_range(address, n_bytes):
-            if first is None:
-                first = slot_addr
-            last = slot_addr
-            storage[0] = label
-        if first is not None:
-            self._meter.touch(first, last - first + 1)
+        self._shadow.fill_range(address, n_bytes, 0, 0, 1, label)
 
     def _get_range(self, address: int, n_bytes: int) -> int:
-        label = 0
-        first = None
-        last = 0
-        for slot_addr, storage in self._shadow.slots_in_range(address, n_bytes):
-            if first is None:
-                first = slot_addr
-            last = slot_addr
-            label |= storage[0]
-        if first is not None:
-            self._meter.touch(first, last - first + 1)
-        return label
+        return self._shadow.fold_range(address, n_bytes, 0, 0, 1)
 
     # -- handlers ---------------------------------------------------------
     def _on_malloc(self, ctx) -> None:

@@ -6,21 +6,32 @@ optimization effects such as hoisted lookups are visible in the text).
 The emitted module defines::
 
     def make_handlers(RT):          # RT: AnalysisRuntime
+        profile = RT.meter.profile
         M0 = RT.maps[0]             # one name per coalesced map group
+        ld0_1 = M0.loaders[1]       # bound once per attach: field accessors
+        x_vc_new = RT.bind_external('vc_new')   # ... and external functions
         def h_<handler>(loc, a_<param>...): ...
+        def ad_<n>(ctx): ...        # clears the event memo, calls a handler
         ADAPTERS = [...]            # (position, hook_key, callable)
         return {...handlers...}, ADAPTERS
 
-Cost accounting: every handler bills its static operation count once per
-invocation (ALDA bodies are loop-free, so the static count bounds the
-dynamic one; this matches the compiler's conservative all-branches-taken
-assumption).  Metadata structure costs are billed by the runtime
-structures themselves.
+Cost accounting: every block bills its static operation count when
+control reaches it (``profile.instr_cycles += n``; ALDA bodies are
+loop-free, so the static count bounds the dynamic one).  Metadata
+structure costs are billed by the runtime structures themselves.
+
+Register hits: with lookup reduction on, a field read or write that is
+dominated by an earlier billed access to the same slot variable and
+field in the same handler is emitted as a plain ``slot[1][i]``.  The
+earlier access put the field's line in the event memo, so the accessor
+would have billed nothing; the plain form skips the call.  A read on the
+right-hand side of ``&&``/``||`` or inside a branch dominates nothing
+after it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.alda import ast_nodes as ast
 from repro.alda.semantics import FuncInfo, ProgramInfo
@@ -88,6 +99,31 @@ def _shallow_ops(statements: List[ast.Stmt]) -> int:
     return total
 
 
+class _Prelude:
+    """Names ``make_handlers`` binds once per attach, in first-use order."""
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self._bound: Set[str] = set()
+
+    def bind(self, name: str, value: str) -> str:
+        if name not in self._bound:
+            self._bound.add(name)
+            self.lines.append(f"    {name} = {value}")
+        return name
+
+    def loader(self, group_index: int, field_index: int) -> str:
+        return self.bind(f"ld{group_index}_{field_index}",
+                         f"M{group_index}.loaders[{field_index}]")
+
+    def storer(self, group_index: int, field_index: int) -> str:
+        return self.bind(f"st{group_index}_{field_index}",
+                         f"M{group_index}.storers[{field_index}]")
+
+    def external(self, name: str) -> str:
+        return self.bind(f"x_{name}", f"RT.bind_external({name!r})")
+
+
 class _HandlerCompiler:
     """Compiles one handler body to Python lines."""
 
@@ -98,16 +134,23 @@ class _HandlerCompiler:
         layout: LayoutPlan,
         group_of_map: Dict[str, int],
         cse_enabled: bool,
+        prelude: _Prelude,
     ) -> None:
         self.func = func
         self.info = info
         self.layout = layout
         self.group_of_map = group_of_map
         self.cse_enabled = cse_enabled
+        self.prelude = prelude
         self.lines: List[str] = []
         self._temp = 0
         self._assert_count = 0
         self.hoists, self.slot_index = plan_hoists(func, group_of_map, cse_enabled)
+        #: locals holding a looked-up slot (hoisted or set-mutation temps)
+        self.slot_vars: Set[str] = {hoist.var for hoist in self.hoists}
+        #: (slot var, field) pairs billed on every path to the code being
+        #: emitted: further accesses to them are register hits
+        self.billed: Set[Tuple[str, int]] = set()
 
     # -- helpers -----------------------------------------------------------
     def _fresh_temp(self) -> str:
@@ -130,6 +173,28 @@ class _HandlerCompiler:
             if var is not None:
                 return var
         return f"M{group_index}.lookup({self.expr(key, indent)})"
+
+    def _billed_access(self, slot: str, field_index: int) -> bool:
+        """True when this access is a register hit; otherwise records it
+        (in emission order, which is evaluation order) as billed."""
+        if not self.cse_enabled or slot not in self.slot_vars:
+            return False
+        if (slot, field_index) in self.billed:
+            return True
+        self.billed.add((slot, field_index))
+        return False
+
+    def _load(self, group_index: int, field_index: int, slot: str) -> str:
+        if self._billed_access(slot, field_index):
+            return f"{slot}[1][{field_index}]"
+        return f"{self.prelude.loader(group_index, field_index)}({slot})"
+
+    def _store(self, group_index: int, field_index: int, slot: str, value: str) -> str:
+        """A store statement; ``value`` must already be compiled (its
+        reads are evaluated before the store bills)."""
+        if self._billed_access(slot, field_index):
+            return f"{slot}[1][{field_index}] = {value}"
+        return f"{self.prelude.storer(group_index, field_index)}({slot}, {value})"
 
     # -- expressions -------------------------------------------------------
     def expr(self, node: ast.Expr, indent: int) -> str:
@@ -168,10 +233,14 @@ class _HandlerCompiler:
 
     def _binary(self, node: ast.Binary, indent: int) -> str:
         lhs = self.expr(node.lhs, indent)
-        rhs = self.expr(node.rhs, indent)
         if node.op in ("&&", "||"):
+            # the right operand may not run: its reads dominate nothing
+            billed = set(self.billed)
+            rhs = self.expr(node.rhs, indent)
+            self.billed = billed
             joiner = "and" if node.op == "&&" else "or"
             return f"({lhs} {joiner} {rhs})"
+        rhs = self.expr(node.rhs, indent)
         if self._is_set_expr(node.lhs) and self._is_set_expr(node.rhs):
             method = "intersect" if node.op == "&" else "union"
             return f"{lhs}.{method}({rhs})"
@@ -180,7 +249,7 @@ class _HandlerCompiler:
     def _index_read(self, node: ast.Index, indent: int) -> str:
         group_index, field_index = self._group(node.base)
         slot = self._slot_expr(node.base, node.key, indent)
-        return f"M{group_index}.load({slot}, {field_index})"
+        return self._load(group_index, field_index, slot)
 
     def _method_expr(self, node: ast.MethodCall, indent: int) -> str:
         if isinstance(node.base, ast.Name):
@@ -192,12 +261,12 @@ class _HandlerCompiler:
                     length = self.expr(node.args[1], indent)
                     return f"M{group_index}.load_range({key}, {length}, {field_index})"
                 slot = self._slot_expr(map_name, node.args[0], indent)
-                return f"M{group_index}.load({slot}, {field_index})"
+                return self._load(group_index, field_index, slot)
             raise CompileError(f"map.{node.method} has no value (statement only)")
         # set-valued entry methods
         group_index, field_index = self._group(node.base.base)
         slot = self._slot_expr(node.base.base, node.base.key, indent)
-        value = f"M{group_index}.load({slot}, {field_index})"
+        value = self._load(group_index, field_index, slot)
         if node.method == "find":
             element = self.expr(node.args[0], indent)
             return f"(1 if {value}.contains({element}) else 0)"
@@ -214,17 +283,21 @@ class _HandlerCompiler:
         if node.func in self.info.funcs:
             joined = ", ".join(["loc"] + args)
             return f"h_{node.func}({joined})"
-        joined = ", ".join([repr(node.func)] + args)
-        return f"RT.external({joined})"
+        return f"{self.prelude.external(node.func)}({', '.join(args)})"
 
     # -- statements ----------------------------------------------------------
     def stmt(self, node: ast.Stmt, indent: int) -> None:
         if isinstance(node, ast.If):
             self.emit(indent, f"if {self.expr(node.cond, indent)}:")
+            # a branch's accesses dominate nothing after the if
+            billed = self.billed
+            self.billed = set(billed)
             self.block(node.then_body, indent + 1)
             if node.else_body:
+                self.billed = set(billed)
                 self.emit(indent, "else:")
                 self.block(node.else_body, indent + 1)
+            self.billed = billed
             return
         if isinstance(node, ast.Return):
             if node.value is None:
@@ -236,7 +309,7 @@ class _HandlerCompiler:
             group_index, field_index = self._group(node.target.base)
             slot = self._slot_expr(node.target.base, node.target.key, indent)
             value = self.expr(node.value, indent)
-            self.emit(indent, f"M{group_index}.store({slot}, {field_index}, {value})")
+            self.emit(indent, self._store(group_index, field_index, slot, value))
             return
         if isinstance(node, ast.ExprStmt):
             self._expr_stmt(node.expr, indent)
@@ -270,9 +343,11 @@ class _HandlerCompiler:
         group_index, field_index = self._group(map_name)
         if node.method == "set":
             if len(node.args) == 3:
+                # compiled in evaluation order (the register-hit
+                # bookkeeping depends on it): key, length, then value
                 key = self.expr(node.args[0], indent)
-                value = self.expr(node.args[1], indent)
                 length = self.expr(node.args[2], indent)
+                value = self.expr(node.args[1], indent)
                 self.emit(
                     indent,
                     f"M{group_index}.store_range({key}, {length}, {field_index}, {value})",
@@ -280,9 +355,7 @@ class _HandlerCompiler:
             else:
                 slot = self._slot_expr(map_name, node.args[0], indent)
                 value = self.expr(node.args[1], indent)
-                self.emit(
-                    indent, f"M{group_index}.store({slot}, {field_index}, {value})"
-                )
+                self.emit(indent, self._store(group_index, field_index, slot, value))
             return
         if node.method == "get":
             # value discarded; still perform the lookup for its cost
@@ -293,13 +366,17 @@ class _HandlerCompiler:
     def _set_mutation_stmt(self, node: ast.MethodCall, indent: int) -> None:
         group_index, field_index = self._group(node.base.base)
         slot_expr = self._slot_expr(node.base.base, node.base.key, indent)
-        element = self.expr(node.args[0], indent)
         temp = self._fresh_temp()
-        slot_var = temp + "_slot"
-        self.emit(indent, f"{slot_var} = {slot_expr}")
-        self.emit(indent, f"{temp} = M{group_index}.load({slot_var}, {field_index})")
+        if slot_expr in self.slot_vars:
+            slot_var = slot_expr
+        else:
+            slot_var = temp + "_slot"
+            self.emit(indent, f"{slot_var} = {slot_expr}")
+            self.slot_vars.add(slot_var)
+        self.emit(indent, f"{temp} = {self._load(group_index, field_index, slot_var)}")
+        element = self.expr(node.args[0], indent)
         self.emit(indent, f"{temp}.{node.method}({element})")
-        self.emit(indent, f"M{group_index}.store({slot_var}, {field_index}, {temp})")
+        self.emit(indent, self._store(group_index, field_index, slot_var, temp))
 
     def block(self, statements: List[ast.Stmt], indent: int, bill: bool = True) -> None:
         if not statements:
@@ -308,7 +385,7 @@ class _HandlerCompiler:
         if bill:
             ops = _shallow_ops(statements)
             if ops:
-                self.emit(indent, f"meter.cycles({ops})")
+                self.emit(indent, f"profile.instr_cycles += {ops}")
         for statement in statements:
             self.stmt(statement, indent)
 
@@ -367,20 +444,32 @@ def generate_module(
     analysis_name: str,
 ) -> str:
     """Emit the complete generated-Python module for an analysis."""
+    prelude = _Prelude()
+    body: List[str] = []
+    for func in info.funcs.values():
+        compiler = _HandlerCompiler(
+            func, info, layout, group_of_map, cse_enabled, prelude
+        )
+        body.extend(compiler.compile())
+
     lines: List[str] = [
         f'"""Generated by ALDAcc for analysis {analysis_name!r}."""',
         "",
         "",
         "def make_handlers(RT):",
-        "    meter = RT.meter",
+        "    profile = RT.meter.profile",
     ]
     for index, plan in enumerate(layout.groups):
         lines.append(f"    M{index} = RT.maps[{index}]  # {plan.group.name}")
+    lines.extend(prelude.lines)
+    if cse_enabled:
+        # The lookup memo lives for one instrumentation event: the first
+        # adapter to run at a new event clears it, and every handler
+        # fired at that event shares it.
+        lines.append("    memo_clear = RT._memo.clear")
+        lines.append("    event_seq = -2")
     lines.append("")
-
-    for func in info.funcs.values():
-        compiler = _HandlerCompiler(func, info, layout, group_of_map, cse_enabled)
-        lines.extend(compiler.compile())
+    lines.extend(body)
 
     lines.append("    ADAPTERS = []")
     for position, decl in enumerate(info.inserts):
@@ -394,7 +483,12 @@ def generate_module(
             decl.point_name if decl.point_kind == "inst" else f"func:{decl.point_name}"
         )
         lines.append(f"    def ad_{position}(ctx):")
-        lines.append("        RT.begin_event(ctx.seq)")
+        if cse_enabled:
+            lines.append("        nonlocal event_seq")
+            lines.append("        seq = ctx.seq")
+            lines.append("        if seq != event_seq or seq == -1:")
+            lines.append("            event_seq = seq")
+            lines.append("            memo_clear()")
         lines.append(f"        {call}")
         lines.append(
             f"    ADAPTERS.append(({decl.position!r}, {hook_key!r}, ad_{position}))"

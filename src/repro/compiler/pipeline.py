@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Union
 
@@ -56,7 +57,11 @@ class AnalysisRuntime:
     """Everything a compiled analysis needs at run time.
 
     Holds the live coalesced maps, the cost meter, the per-event lookup
-    memo, the external-function registry, and the report channel.
+    memo, the external-function registry, and the report channel.  The
+    generated adapters clear the memo at each new instrumentation event;
+    several handlers fired at one event (a combined analysis) share it,
+    which is what lets ALDAcc optimize composed analyses together
+    (section 6.4.2).
     """
 
     def __init__(
@@ -77,7 +82,6 @@ class AnalysisRuntime:
         self.handlers: Dict[str, object] = {}
         self.vm = None  # set at attach time; used for report backtraces
         self._memo: Optional[dict] = {} if memo_enabled else None
-        self._last_event_seq = -2
         self._interners: Dict[str, KeyInterner] = {}
 
     def intern(self, type_name: str, domain: int, key: int) -> int:
@@ -88,20 +92,6 @@ class AnalysisRuntime:
             self._interners[type_name] = interner
         return interner.intern(key)
 
-    def begin_event(self, seq: int = -1) -> None:
-        """Reset the cross-handler lookup memo at each instrumentation event.
-
-        Idempotent per event: several handlers fired at one event (a
-        combined analysis) share the memo, which is what lets ALDAcc
-        optimize composed analyses together (section 6.4.2).
-        """
-        if self._memo is None:
-            return
-        if seq != -1 and seq == self._last_event_seq:
-            return
-        self._last_event_seq = seq
-        self._memo.clear()
-
     def alda_assert(self, actual: int, expected: int, loc: str, handler: str) -> None:
         """ALDA's built-in monitor: report when ``actual != expected``.
 
@@ -109,7 +99,7 @@ class AnalysisRuntime:
         the violation (the paper's "error report and analysis
         backtrace").
         """
-        self.meter.cycles(1)
+        self.meter.profile.instr_cycles += 1
         if actual != expected:
             backtrace = self.vm.backtrace() if self.vm is not None else ()
             self.reporter.report(
@@ -117,9 +107,19 @@ class AnalysisRuntime:
                 backtrace=backtrace,
             )
 
-    def external(self, name: str, *args: int) -> int:
-        self.meter.cycles(2)  # call overhead of the escape hatch
-        return self.externals.call(self, name, *args)
+    def bind_external(self, name: str):
+        """External function ``name`` as a plain callable for generated
+        handler code, bound once per attach."""
+        fn = self.externals.function(name)
+        profile = self.meter.profile
+        runtime = self
+
+        def call(*args: int) -> int:
+            profile.instr_cycles += 2  # call overhead of the escape hatch
+            result = fn(runtime, *args)
+            return 0 if result is None else int(result)
+
+        return call
 
 
 @dataclass
@@ -135,6 +135,14 @@ class CompiledAnalysis:
     group_of_map: Dict[str, int]
     source: str  # generated Python module text (inspectable artifact)
     externals: ExternalRegistry
+
+    @functools.cached_property
+    def make_handlers(self):
+        """The generated module's ``make_handlers``, compiled once per
+        analysis; each ``attach`` only calls it."""
+        namespace: Dict[str, object] = {}
+        exec(compile(self.source, f"<aldacc:{self.name}>", "exec"), namespace)
+        return namespace["make_handlers"]
 
     @property
     def needs_shadow(self) -> bool:
@@ -182,9 +190,7 @@ class CompiledAnalysis:
         runtime.vm = vm
         runtime.maps = build_maps(self.layout, meter, space, runtime._memo)
 
-        namespace: Dict[str, object] = {}
-        exec(compile(self.source, f"<aldacc:{self.name}>", "exec"), namespace)
-        handlers, adapters = namespace["make_handlers"](runtime)
+        handlers, adapters = self.make_handlers(runtime)
         runtime.handlers = handlers
         register_adapters(hooks if hooks is not None else vm.hooks, adapters)
         return runtime

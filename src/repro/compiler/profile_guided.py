@@ -93,8 +93,13 @@ def profile_analysis(
     from repro.vm.interpreter import Interpreter
 
     options = options or CompileOptions()
-    # Coalescing off so each ALDA-level map is individually observable.
-    training = compile_analysis(program, replace(options, coalesce=False))
+    # Coalescing off so each ALDA-level map is individually observable;
+    # lookup reduction off so every field access calls its accessor (the
+    # generated code turns dominated accesses into uncounted register
+    # hits).  Neither changes which accesses the handlers make.
+    training = compile_analysis(
+        program, replace(options, coalesce=False, cse=False)
+    )
     vm = Interpreter(
         module_factory(),
         extern=extern,

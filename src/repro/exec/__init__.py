@@ -21,6 +21,7 @@ from repro.exec.workers import (
     TaskError,
     WorkerCrashError,
     WorkerHangError,
+    WorkerPoolClosed,
 )
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "TaskError",
     "WorkerCrashError",
     "WorkerHangError",
+    "WorkerPoolClosed",
     "analysis_fingerprint",
     "build_analysis",
     "run_batch",

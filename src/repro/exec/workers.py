@@ -37,7 +37,10 @@ Failure model:
   ``respawn_window`` seconds, further replacements raise
   :class:`WorkerRespawnStorm` instead of spawning — a deterministic
   crasher (the kind :mod:`repro.fuzz` finds) degrades the pool with a
-  typed error rather than fork-bombing the host indefinitely.
+  typed error rather than fork-bombing the host indefinitely;
+* a respawn that races :meth:`PersistentWorkerPool.close` (a hung
+  call's thread healing its worker while the pool shuts down) raises
+  :class:`WorkerPoolClosed` instead of spawning into a closed pool.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ class WorkerRespawnStorm(WorkerCrashError):
     ``respawn_window`` seconds).  The dead handle stays in rotation, so
     pool capacity is unchanged; the storm clears on its own once the
     window slides past the burst."""
+
+
+class WorkerPoolClosed(WorkerCrashError):
+    """A dead worker could not be replaced because the pool is closing:
+    no fresh worker is ever spawned into a closed pool."""
 
 
 #: Respawns inside the window that pay no backoff sleep; isolated
@@ -190,6 +198,9 @@ class _WorkerHandle:
         #: monotonic start of the in-flight job (None when idle); the
         #: pool's reaper reads this to spot overdue jobs from outside.
         self.job_started: Optional[float] = None
+        # close() and a respawning call thread may both stop one handle.
+        self._stop_lock = threading.Lock()
+        self._stopped = False
 
     def call(self, task_path: str, payload: Any,
              hang_timeout: Optional[float] = None) -> Any:
@@ -269,7 +280,15 @@ class _WorkerHandle:
     def stop(self, timeout: float = 2.0) -> None:
         """Shut the worker down, escalating politely: close -> SIGTERM
         -> SIGKILL, and always reap — a worker that survives two join
-        timeouts must not linger as a zombie."""
+        timeouts must not linger as a zombie.  Idempotent: only the
+        first of several concurrent callers does the work."""
+        with self._stop_lock:
+            if self._stopped:
+                return
+            self._stopped = True
+            self._stop(timeout)
+
+    def _stop(self, timeout: float) -> None:
         try:
             self.conn.send(None)
         except (OSError, BrokenPipeError):
@@ -378,7 +397,7 @@ class PersistentWorkerPool:
             # transparently instead of failing this unrelated call.
             try:
                 worker = self._respawn(worker)
-            except WorkerRespawnStorm:
+            except (WorkerRespawnStorm, WorkerPoolClosed):
                 self._idle.put(worker)  # dead handle back: capacity constant
                 raise
         try:
@@ -437,8 +456,18 @@ class PersistentWorkerPool:
         self._respawn_times.append(now)
         return recent
 
+    def _refuse_if_closed(self, dead: _WorkerHandle) -> None:
+        """Called under ``_lock``: a closing pool gets no fresh worker.
+        ``close()`` snapshotted ``dead`` with the rest and reaps it."""
+        if self._closed:
+            raise WorkerPoolClosed(
+                f"worker {dead._describe()} died while the pool was "
+                f"closing; not respawned"
+            )
+
     def _respawn(self, dead: _WorkerHandle) -> _WorkerHandle:
         with self._lock:
+            self._refuse_if_closed(dead)
             recent = self._respawn_admit()
             self.restarts += 1
         # Exponential backoff past the free allowance, slept *outside*
@@ -450,6 +479,8 @@ class PersistentWorkerPool:
                 self.respawn_backoff_base * 2 ** (recent - _RESPAWN_BACKOFF_FREE),
             ))
         with self._lock:
+            # close() may have run during the backoff sleep.
+            self._refuse_if_closed(dead)
             try:
                 dead.stop(timeout=0.5)
             except (OSError, ValueError):
@@ -488,7 +519,7 @@ class PersistentWorkerPool:
             else:
                 try:
                     fresh = self._respawn(worker)
-                except WorkerRespawnStorm:
+                except (WorkerRespawnStorm, WorkerPoolClosed):
                     self._idle.put(worker)  # keep the dead handle queued
                     continue
                 self._idle.put(fresh)
@@ -515,18 +546,23 @@ class PersistentWorkerPool:
         return sum(1 for worker in self._workers if worker.alive)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        # Snapshot and clear under the lock: a concurrent _respawn either
+        # finished (its fresh worker is in the snapshot) or will see
+        # _closed and refuse.
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            workers = list(self._workers)
+            self._workers.clear()
         self._reaper_stop.set()
         if self._reaper is not None:
             self._reaper.join(timeout=5.0)
-        for worker in self._workers:
+        for worker in workers:
             try:
                 worker.stop()
             except (OSError, ValueError):
                 pass
-        self._workers.clear()
 
     def __enter__(self) -> "PersistentWorkerPool":
         return self

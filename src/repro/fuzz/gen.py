@@ -42,7 +42,7 @@ import random
 from dataclasses import asdict, dataclass, replace
 from typing import Iterator, List, Optional, Tuple
 
-from repro.fuzz import FuzzUsageError
+from repro.fuzz import FuzzUsageError, bump
 from repro.ir.builder import IRBuilder
 from repro.ir.module import Module
 from repro.ir.text import print_module
@@ -439,6 +439,7 @@ def synthetic_workload(params: GenParams) -> Workload:
     """Wrap ``params`` as a registry-shaped :class:`Workload`."""
     validate_params(params)
     digest8 = module_text_digest(generate(params, 1))[:8]
+    bump("modules_generated")
     return Workload(
         name=f"fuzz-s{params.seed}-{digest8}",
         suite="fuzz",

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
+from repro.runtime.metadata import SlotRanges
+
 
 class KeyInterner:
     """Dense renaming of sparse keys into ``[0, domain)``."""
@@ -29,8 +31,9 @@ class KeyInterner:
 
     def intern(self, key: int) -> int:
         # One hashed probe into the interning table.
-        self.meter.cycles(2)
-        self.meter.touch(self.table_base + (hash(key) % self.domain) * 16, 16)
+        meter = self.meter
+        meter.profile.instr_cycles += 2
+        meter.touch(self.table_base + (hash(key) % self.domain) * 16, 16)
         dense = self._ids.get(key)
         if dense is None:
             dense = len(self._ids)
@@ -44,7 +47,7 @@ class KeyInterner:
         return len(self._ids)
 
 
-class ArrayMap:
+class ArrayMap(SlotRanges):
     """key -> record map over a fixed ``domain``-entry table."""
 
     def __init__(
@@ -69,21 +72,16 @@ class ArrayMap:
         self.meter.footprint(domain * value_bytes)
         self._data: Dict[int, list] = {}
 
-    def _slot(self, index: int) -> Tuple[int, list]:
-        address = self.base + index * self.value_bytes
-        storage = self._data.get(index)
-        if storage is None:
-            storage = self._make_values()
-            self._data[index] = storage
-        return address, storage
-
     def lookup(self, key: int) -> Tuple[int, list]:
         if self.interner is not None:
             key = self.interner.intern(key)
         elif key >= self.domain or key < 0:
             key = key % self.domain
-        self.meter.cycles(1)
-        return self._slot(key)
+        self.meter.profile.instr_cycles += 1
+        storage = self._data.get(key)
+        if storage is None:
+            storage = self._data[key] = self._make_values()
+        return self.base + key * self.value_bytes, storage
 
     def slots_in_range(self, key: int, n_bytes: int) -> Iterator[Tuple[int, list]]:
         # Bounded-domain maps are keyed by ids, not addresses: a "range"

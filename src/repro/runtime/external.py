@@ -121,13 +121,16 @@ class ExternalRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._functions
 
-    def call(self, runtime, name: str, *args: int) -> int:
+    def function(self, name: str) -> Callable:
         fn = self._functions.get(name)
         if fn is None:
             raise ExternalFunctionError(
                 f"call to unregistered external function {name!r}"
             )
-        result = fn(runtime, *args)
+        return fn
+
+    def call(self, runtime, name: str, *args: int) -> int:
+        result = self.function(name)(runtime, *args)
         return 0 if result is None else int(result)
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, Tuple
 
+from repro.runtime.metadata import SlotRanges
+
 _BUCKETS = 1 << 16
 _ENTRY_OVERHEAD = 24  # key + next pointer + allocator header
 
 
-class HashMap:
+class HashMap(SlotRanges):
     """key -> record map with modelled bucket + entry traffic."""
 
     def __init__(

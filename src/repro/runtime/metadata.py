@@ -76,14 +76,61 @@ class FieldSpec:
         return self.default_factory()
 
 
+class SlotRanges:
+    """Range fold/fill over ``slots_in_range`` for structures whose slots
+    are not one contiguous run (page tables, hash maps, array maps).
+
+    A compiled range operation over adjacent slots is a vectorized sweep,
+    not N dependent loads: each contiguous run of field addresses is
+    billed as one wide access, after the structure's own per-slot
+    traffic.  :class:`repro.runtime.shadow_memory.ShadowMemory`, whose
+    range is always one run, has a bulk version of both instead.
+    """
+
+    def fold_range(self, key: int, n_bytes: int, field_index: int,
+                   offset: int, size: int) -> int:
+        """OR of field ``field_index`` over the slots of ``[key, key+n)``."""
+        slots = list(self.slots_in_range(key, n_bytes))
+        folded = 0
+        for _, storage in slots:
+            folded |= storage[field_index]
+        self._bill_runs(slots, offset, size)
+        return folded
+
+    def fill_range(self, key: int, n_bytes: int, field_index: int,
+                   offset: int, size: int, value) -> None:
+        """Set field ``field_index`` of every slot of ``[key, key+n)``."""
+        slots = list(self.slots_in_range(key, n_bytes))
+        copyable = hasattr(value, "copy")
+        for _, storage in slots:
+            storage[field_index] = value.copy() if copyable else value
+        self._bill_runs(slots, offset, size)
+
+    def _bill_runs(self, slots: List[Slot], offset: int, size: int) -> None:
+        if not slots:
+            return
+        touch, stride = self.meter.touch, self.value_bytes
+        start = prev = slots[0][0]
+        for address, _ in slots[1:]:
+            if address != prev + stride:
+                touch(start + offset, prev - start + size)
+                start = address
+            prev = address
+        touch(start + offset, prev - start + size)
+
+
 class CoalescedMap:
     """Key -> record-of-fields mapping over a selected backing structure.
 
     ``impl`` is one of :class:`repro.runtime.shadow_memory.ShadowMemory`,
     :class:`repro.runtime.page_table.PageTableMap`,
     :class:`repro.runtime.array_map.ArrayMap` or
-    :class:`repro.runtime.hash_map.HashMap` — all provide ``lookup(key)``
-    and ``slots_in_range(key, n_bytes)``.
+    :class:`repro.runtime.hash_map.HashMap` — all provide ``lookup(key)``,
+    ``fold_range`` and ``fill_range``.
+
+    Generated handler code binds the per-field accessors once per attach
+    (``loaders[i](slot)``, ``storers[i](slot, value)``): each bills the
+    field's cache access and returns or sets the value in one call.
     """
 
     #: counter for memo identities
@@ -109,10 +156,16 @@ class CoalescedMap:
         self.memo = memo
         #: Optional per-field dynamic access counters (profiling runs for
         #: profile-guided optimization fill these; None in normal runs).
+        #: They count accessor calls: a field access the generated code
+        #: turned into a register hit (lookup reduction on) calls none, so
+        #: training compiles with lookup reduction off.
         self.access_counts: Optional[dict] = None
         CoalescedMap._next_mid += 1
         self._mid = CoalescedMap._next_mid
         self._index = {field.name: position for position, field in enumerate(self.fields)}
+        self.lookup = self._bind_lookup()
+        self.loaders = [self._bind_access(i, store=False) for i in range(len(self.fields))]
+        self.storers = [self._bind_access(i, store=True) for i in range(len(self.fields))]
 
     @property
     def value_bytes(self) -> int:
@@ -124,58 +177,95 @@ class CoalescedMap:
     # ------------------------------------------------------------------
     # point operations
     # ------------------------------------------------------------------
-    def lookup(self, key: int) -> Slot:
-        """Resolve the slot for ``key``; bills the structure's lookup cost.
+    def _bind_lookup(self) -> Callable[[int], Slot]:
+        """``lookup(key)``: resolve the slot for ``key``, billing the
+        structure's lookup cost.
 
         This is the operation ALDAcc's CSE hoists: handler code generated
-        with lookup reduction calls it once per distinct key per event.
+        with lookup reduction calls it once per distinct key per event,
+        and the per-event memo makes repeats across handlers free.
         """
+        impl_lookup = self.impl.lookup
+        sync_enter = self.sync.enter if self.sync is not None else None
         memo = self.memo
-        if memo is not None:
-            memo_key = (self._mid, key)
-            cached = memo.get(memo_key)
-            if cached is not None:
-                return cached
-        if self.sync is not None:
-            self.sync.enter(key)
-        slot = self.impl.lookup(key)
-        if memo is not None:
-            memo[memo_key] = slot
-        return slot
+        if memo is None:
+            if sync_enter is None:
+                return impl_lookup
 
-    def _count_access(self, field: FieldSpec) -> None:
-        counts = self.access_counts
-        if counts is not None:
-            counts[field.name] = counts.get(field.name, 0) + 1
+            def lookup(key: int) -> Slot:
+                sync_enter(key)
+                return impl_lookup(key)
 
-    def _bill_field(self, slot: Slot, field: FieldSpec) -> None:
-        """Bill the cache access behind one field read/write.
+            return lookup
+        memo_get = memo.get
+        mid = self._mid
+
+        def lookup(key: int) -> Slot:
+            memo_key = (mid, key)
+            slot = memo_get(memo_key)
+            if slot is None:
+                if sync_enter is not None:
+                    sync_enter(key)
+                slot = memo[memo_key] = impl_lookup(key)
+            return slot
+
+        return lookup
+
+    def _bind_access(self, field_index: int, store: bool):
+        """The loader or storer of one field.
 
         With lookup reduction on, repeated accesses to the same cache
         line within one event are register hits: the generated code
         holds the looked-up record in locals (paper section 5.4), so
-        only the first access of each line is billed.
+        only the first access of each line is billed.  Line keys share
+        the event memo as positive ints (slot keys are ``(mid, key)``
+        tuples, sync stripe keys negative ints).
         """
-        address = slot[0] + field.offset
+        cmap = self
+        name = self.fields[field_index].name
+        offset = self.fields[field_index].offset
+        size = self.fields[field_index].size
+        touch = self.meter.touch
         memo = self.memo
-        if memo is not None:
-            line_key = (-1, address >> 6)
-            if line_key in memo:
-                return
-            memo[line_key] = True
-        self.meter.touch(address, field.size)
+
+        # The billing lines are repeated in both closures on purpose: one
+        # Python call per field access is the point of binding them.
+        if store:
+            def storer(slot: Slot, value) -> None:
+                counts = cmap.access_counts
+                if counts is not None:
+                    counts[name] = counts.get(name, 0) + 1
+                slot[1][field_index] = value
+                address = slot[0] + offset
+                if memo is not None:
+                    line = address >> 6
+                    if line in memo:
+                        return
+                    memo[line] = True
+                touch(address, size)
+
+            return storer
+
+        def loader(slot: Slot):
+            counts = cmap.access_counts
+            if counts is not None:
+                counts[name] = counts.get(name, 0) + 1
+            address = slot[0] + offset
+            if memo is not None:
+                line = address >> 6
+                if line in memo:
+                    return slot[1][field_index]
+                memo[line] = True
+            touch(address, size)
+            return slot[1][field_index]
+
+        return loader
 
     def load(self, slot: Slot, field_index: int):
-        field = self.fields[field_index]
-        self._count_access(field)
-        self._bill_field(slot, field)
-        return slot[1][field_index]
+        return self.loaders[field_index](slot)
 
     def store(self, slot: Slot, field_index: int, value) -> None:
-        field = self.fields[field_index]
-        self._count_access(field)
-        self._bill_field(slot, field)
-        slot[1][field_index] = value
+        self.storers[field_index](slot, value)
 
     def get(self, key: int, field_index: int = 0):
         return self.load(self.lookup(key), field_index)
@@ -186,24 +276,6 @@ class CoalescedMap:
     # ------------------------------------------------------------------
     # range operations (ALDA's map.set(k, v, n) / map.get(k, n))
     # ------------------------------------------------------------------
-    def _touch_spans(self, addresses: list, size: int) -> None:
-        """Bill contiguous slot runs as single wide accesses.
-
-        A compiled range operation over adjacent shadow slots is a
-        vectorized sweep, not N dependent loads; billing the span keeps
-        the cost model faithful to what optimized code would execute.
-        """
-        if not addresses:
-            return
-        stride = self.impl.value_bytes
-        run_start = prev = addresses[0]
-        for address in addresses[1:]:
-            if address != prev + stride:
-                self.meter.touch(run_start, prev - run_start + size)
-                run_start = address
-            prev = address
-        self.meter.touch(run_start, prev - run_start + size)
-
     def load_range(self, key: int, n_bytes: int, field_index: int) -> int:
         """Fold integer field values over [key, key+n_bytes) with OR.
 
@@ -215,14 +287,10 @@ class CoalescedMap:
         if self.sync is not None:
             self.sync.enter(key)
         field = self.fields[field_index]
-        self._count_access(field)
-        folded = 0
-        addresses = []
-        for address, storage in self.impl.slots_in_range(key, n_bytes):
-            addresses.append(address + field.offset)
-            folded |= storage[field_index]
-        self._touch_spans(addresses, field.size)
-        return folded
+        counts = self.access_counts
+        if counts is not None:
+            counts[field.name] = counts.get(field.name, 0) + 1
+        return self.impl.fold_range(key, n_bytes, field_index, field.offset, field.size)
 
     def store_range(self, key: int, n_bytes: int, field_index: int, value) -> None:
         if n_bytes <= 0:
@@ -230,10 +298,7 @@ class CoalescedMap:
         if self.sync is not None:
             self.sync.enter(key)
         field = self.fields[field_index]
-        self._count_access(field)
-        copyable = hasattr(value, "copy")
-        addresses = []
-        for address, storage in self.impl.slots_in_range(key, n_bytes):
-            addresses.append(address + field.offset)
-            storage[field_index] = value.copy() if copyable else value
-        self._touch_spans(addresses, field.size)
+        counts = self.access_counts
+        if counts is not None:
+            counts[field.name] = counts.get(field.name, 0) + 1
+        self.impl.fill_range(key, n_bytes, field_index, field.offset, field.size, value)

@@ -12,7 +12,7 @@ demand paging of a large virtual reservation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.vm.memory import AddressSpace
 
@@ -36,6 +36,9 @@ class ShadowMemory:
     ) -> None:
         if granularity not in (1, 2, 4, 8):
             raise ValueError(f"unsupported granularity {granularity}")
+        if not 0 < value_bytes <= _PAGE:
+            # bulk ranges commit every page between their end slots
+            raise ValueError(f"shadow value size {value_bytes} out of range")
         self.meter = meter
         self.value_bytes = value_bytes
         self.granularity = granularity
@@ -46,28 +49,72 @@ class ShadowMemory:
         self._data: Dict[int, list] = {}
         self._touched_pages = set()
 
-    def _slot(self, index: int) -> Tuple[int, list]:
+    def lookup(self, key: int) -> Tuple[int, list]:
+        self.meter.profile.instr_cycles += 1  # shift+add address arithmetic
+        index = key >> self._shift
         address = self.base + index * self.value_bytes
-        page = address >> 12
-        if page not in self._touched_pages:
-            self._touched_pages.add(page)
-            self.meter.footprint(_PAGE)
+        if address >> 12 not in self._touched_pages:
+            self._commit(address, address)
         storage = self._data.get(index)
         if storage is None:
-            storage = self._make_values()
-            self._data[index] = storage
+            storage = self._data[index] = self._make_values()
         return address, storage
 
-    def lookup(self, key: int) -> Tuple[int, list]:
-        self.meter.cycles(1)  # shift+add address arithmetic
-        return self._slot(key >> self._shift)
+    # -- bulk ranges: one contiguous run of slots, one wide access -------
+    # fold_range and fill_range are on every MemorySanitizer load and
+    # store, so each does its address arithmetic and billing inline.
+    def _commit(self, start: int, end: int) -> None:
+        """Bill the footprint of the shadow pages ``[start, end]`` spans."""
+        touched = self._touched_pages
+        for page in range(start >> 12, (end >> 12) + 1):
+            if page not in touched:
+                touched.add(page)
+                self.meter.footprint(_PAGE)
 
-    def slots_in_range(self, key: int, n_bytes: int) -> Iterator[Tuple[int, list]]:
-        self.meter.cycles(1)
+    def fold_range(self, key: int, n_bytes: int, field_index: int,
+                   offset: int, size: int) -> int:
+        """OR of field ``field_index`` over the slots of ``[key, key+n)``,
+        billed as one access spanning the whole run."""
+        self.meter.profile.instr_cycles += 1  # shift+add address arithmetic
         first = key >> self._shift
         last = (key + n_bytes - 1) >> self._shift
+        if last < first:
+            return 0
+        start = self.base + first * self.value_bytes
+        end = self.base + last * self.value_bytes
+        if end >> 12 != start >> 12 or start >> 12 not in self._touched_pages:
+            self._commit(start, end)
+        data, make_values = self._data, self._make_values
+        folded = 0
         for index in range(first, last + 1):
-            yield self._slot(index)
+            storage = data.get(index)
+            if storage is None:
+                storage = data[index] = make_values()
+            folded |= storage[field_index]
+        self.meter.touch(start + offset, end - start + size)
+        return folded
+
+    def fill_range(self, key: int, n_bytes: int, field_index: int,
+                   offset: int, size: int, value) -> None:
+        """Set field ``field_index`` of every slot of ``[key, key+n)``,
+        billed as one access spanning the whole run."""
+        self.meter.profile.instr_cycles += 1  # shift+add address arithmetic
+        first = key >> self._shift
+        last = (key + n_bytes - 1) >> self._shift
+        if last < first:
+            return
+        start = self.base + first * self.value_bytes
+        end = self.base + last * self.value_bytes
+        if end >> 12 != start >> 12 or start >> 12 not in self._touched_pages:
+            self._commit(start, end)
+        data, make_values = self._data, self._make_values
+        copyable = hasattr(value, "copy")
+        for index in range(first, last + 1):
+            storage = data.get(index)
+            if storage is None:
+                storage = data[index] = make_values()
+            storage[field_index] = value.copy() if copyable else value
+        self.meter.touch(start + offset, end - start + size)
 
     def __len__(self) -> int:
         return len(self._data)

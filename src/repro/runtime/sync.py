@@ -20,6 +20,8 @@ class SyncPolicy:
 
     def __init__(self, meter, space, name: str = "synclocks", memo=None) -> None:
         self.meter = meter
+        self._profile = meter.profile
+        self._touch = meter.touch
         self.table_base = space.reserve(_LOCK_TABLE_ENTRIES * 64, label=f"{name}-table")
         self.meter.footprint(_LOCK_TABLE_ENTRIES * 64)
         self.acquisitions = 0
@@ -42,13 +44,15 @@ class SyncPolicy:
         stripe = (key * 0x9E3779B97F4A7C15) % _LOCK_TABLE_ENTRIES
         memo = self.memo
         if memo is not None:
-            memo_key = (-2, stripe)
+            # Stripe keys are negative ints: disjoint from the memo's
+            # line keys (positive ints) and slot keys (tuples).
+            memo_key = -1 - stripe
             if memo_key in memo:
                 return
             memo[memo_key] = True
         if stripe == self._last_stripe:
-            self.meter.cycles(_ATOMIC_CYCLES // 4)
+            self._profile.instr_cycles += _ATOMIC_CYCLES // 4
         else:
-            self.meter.cycles(_ATOMIC_CYCLES)
+            self._profile.instr_cycles += _ATOMIC_CYCLES
             self._last_stripe = stripe
-        self.meter.touch(self.table_base + stripe * 64, 8)
+        self._touch(self.table_base + stripe * 64, 8)

@@ -10,7 +10,7 @@ eliminated lookup performs no access at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,14 @@ class _Level:
             return False
         if ways[-1] == line:
             return True  # already MRU: remove+append would be a no-op
-        try:
+        if line in ways:
             ways.remove(line)
-        except ValueError:
             ways.append(line)
-            if len(ways) > self.assoc:
-                ways.pop(0)
-            return False
+            return True
         ways.append(line)
-        return True
+        if len(ways) > self.assoc:
+            del ways[0]
+        return False
 
 
 class CacheSim:
@@ -100,6 +99,11 @@ class CacheSim:
                 return self._l2_cycles
             stats.dram_fills += 1
             return self._dram_cycles
+        return self._access_lines(first, last)
+
+    def _access_lines(self, first: int, last: int) -> int:
+        """Access every line in ``[first, last]``; returns total cycles."""
+        stats = self.stats
         cycles = 0
         for line in range(first, last + 1):
             stats.accesses += 1
@@ -113,6 +117,81 @@ class CacheSim:
                 stats.dram_fills += 1
                 cycles += self._dram_cycles
         return cycles
+
+    def metadata_touch(self, profile) -> Callable[..., None]:
+        """A fused ``touch(address, size=8)`` for analysis metadata traffic.
+
+        Same LRU state, statistics and cycle costs as :meth:`access`,
+        billed to ``profile.instr_cycles`` with one
+        ``profile.metadata_ops`` per call.  A line-local access — nearly
+        every metadata access — runs entirely inside this one closure:
+        the L1 MRU check, an L1 hit deeper in the set, and the miss
+        fall-through to L2 and DRAM.  Only a line-crossing access makes
+        a second call.  ``cache.stats`` is re-read on every call, so
+        :meth:`reset_stats` stays honoured.
+        """
+        cache = self
+        shift = self._line_shift
+        offset_mask = self.config.line_bytes - 1
+        line_bytes = self.config.line_bytes
+        l1_sets, n1, assoc1 = self.l1.sets, self.l1.n_sets, self.l1.assoc
+        l2_sets, n2, assoc2 = self.l2.sets, self.l2.n_sets, self.l2.assoc
+        l1_get, l2_get = l1_sets.get, l2_sets.get
+        l1_cycles, l2_cycles = self._l1_cycles, self._l2_cycles
+        dram_cycles = self._dram_cycles
+        access_lines = self._access_lines
+
+        def touch(address: int, size: int = 8) -> None:
+            line = address >> shift
+            if (address & offset_mask) + size > line_bytes:  # crosses a line
+                profile.instr_cycles += access_lines(
+                    line, (address + size - 1) >> shift
+                )
+                profile.metadata_ops += 1
+                return
+            stats = cache.stats
+            stats.accesses += 1
+            profile.metadata_ops += 1
+            index = line % n1
+            ways = l1_get(index)
+            if ways is None:
+                l1_sets[index] = [line]
+            elif ways[-1] == line:
+                stats.l1_hits += 1
+                profile.instr_cycles += l1_cycles
+                return
+            elif line in ways:
+                ways.remove(line)
+                ways.append(line)
+                stats.l1_hits += 1
+                profile.instr_cycles += l1_cycles
+                return
+            else:
+                ways.append(line)
+                if len(ways) > assoc1:
+                    del ways[0]
+            index = line % n2
+            ways = l2_get(index)
+            if ways is None:
+                l2_sets[index] = [line]
+            elif ways[-1] == line:
+                stats.l2_hits += 1
+                profile.instr_cycles += l2_cycles
+                return
+            elif line in ways:
+                ways.remove(line)
+                ways.append(line)
+                stats.l2_hits += 1
+                profile.instr_cycles += l2_cycles
+                return
+            else:
+                ways.append(line)
+                if len(ways) > assoc2:
+                    del ways[0]
+            stats.dram_fills += 1
+            profile.instr_cycles += dram_cycles
+
+        return touch
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()

@@ -118,7 +118,9 @@ class TestGeneratedCode:
         """)
         text = handler_text(analysis, "onX")
         assert ".add(" in text
-        assert ".store(" in text  # mutation is written back
+        # mutation is written back (a register hit: the load billed it)
+        assert "_t1 = ld0_0(_s0)" in text
+        assert "_s0[1][0] = _t1" in text
 
     def test_interning_emitted_for_bounded_lockids(self):
         analysis = compile_analysis("""
@@ -156,7 +158,9 @@ class TestGeneratedCode:
         onX(pointer p) { m[p] = vc_new(); }
         insert after LoadInst call onX($1)
         """)
-        assert "RT.external('vc_new')" in analysis.source
+        # bound once per attach, called from the handler
+        assert "x_vc_new = RT.bind_external('vc_new')" in analysis.source
+        assert "x_vc_new()" in handler_text(analysis, "onX")
 
     def test_handler_to_handler_call(self):
         analysis = compile_analysis("""
@@ -195,7 +199,69 @@ class TestGeneratedCode:
         """)
         text = handler_text(analysis, "onX")
         # both the entry block and the branch body bill cycles
-        assert text.count("meter.cycles(") == 2
+        assert text.count("profile.instr_cycles += ") == 2
+
+
+class TestRegisterHits:
+    def test_second_read_of_field_is_register_hit(self):
+        analysis = compile_analysis("""
+        m = map(pointer, int64)
+        onX(pointer p) {
+          alda_assert(m[p], 0);
+          alda_assert(m[p], 1);
+        }
+        insert after LoadInst call onX($1)
+        """)
+        text = handler_text(analysis, "onX")
+        assert text.count("ld0_0(_s0)") == 1  # first read billed
+        assert text.count("_s0[1][0]") == 1  # second read: plain local
+
+    def test_no_register_hits_without_cse(self):
+        analysis = compile_analysis("""
+        m = map(pointer, int64)
+        onX(pointer p) {
+          alda_assert(m[p], 0);
+          alda_assert(m[p], 1);
+        }
+        insert after LoadInst call onX($1)
+        """, CompileOptions(cse=False))
+        text = handler_text(analysis, "onX")
+        assert text.count("ld0_0(") == 2
+        assert "[1][0]" not in text
+
+    def test_short_circuit_rhs_dominates_nothing(self):
+        analysis = compile_analysis("""
+        a = map(pointer, int64)
+        b = map(pointer, int64)
+        onX(pointer p) {
+          if (a[p] == 1 && b[p] == 2) { a[p] = 3; }
+          alda_assert(b[p], 0);
+          alda_assert(a[p], 0);
+        }
+        insert after LoadInst call onX($1)
+        """)
+        text = handler_text(analysis, "onX")
+        fa = analysis.layout.groups[0].field_index("a")
+        fb = analysis.layout.groups[0].field_index("b")
+        # b's read on the right of && may not run: the later read bills
+        assert text.count(f"ld0_{fb}(_s0)") == 2
+        # a's read on the left always runs: the store and the later read hit
+        assert text.count(f"ld0_{fa}(_s0)") == 1
+        assert f"_s0[1][{fa}] = 3" in text
+        assert f"alda_assert(_s0[1][{fa}]" in text
+
+    def test_branch_reads_dominate_nothing_after(self):
+        analysis = compile_analysis("""
+        m = map(pointer, int64)
+        onX(pointer p, int64 v) {
+          if (v > 0) { alda_assert(m[p], 0); }
+          alda_assert(m[p], 1);
+        }
+        insert after LoadInst call onX($1, $r)
+        """)
+        text = handler_text(analysis, "onX")
+        assert text.count("ld0_0(_s0)") == 2
+        assert "_s0[1][0]" not in text
 
 
 class TestAdapters:

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.fuzz import FuzzUsageError
+from repro.fuzz import FuzzUsageError, fuzz_stats
 from repro.fuzz.gen import (
     CALL_SHAPES,
     LOCK_DISCIPLINES,
@@ -91,6 +91,13 @@ class TestRegistryHygiene:
             assert workload.name in ALL
             assert ALL[workload.name] is workload
         assert ALL == before
+
+    def test_synthetic_workload_counts_modules_generated(self):
+        before = fuzz_stats()["modules_generated"]
+        synthetic_workload(sample_params(3, events=300))
+        with registered(sample_params(4, events=300)):
+            pass
+        assert fuzz_stats()["modules_generated"] == before + 2
 
     def test_synthetic_workload_is_fuzz_suite(self):
         workload = synthetic_workload(sample_params(2, events=300))

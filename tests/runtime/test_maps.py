@@ -49,10 +49,17 @@ class TestShadowMemory:
         _, b = shadow.lookup(0x1000_0001)
         assert a is not b
 
-    def test_slots_in_range(self, meter, space):
-        shadow = ShadowMemory(meter, space, 1, 8, make_values)
-        slots = list(shadow.slots_in_range(0x1000_0000, 17))  # 3 words
-        assert len(slots) == 3
+    def test_bulk_range_covers_words(self, space):
+        profile = Profile()
+        shadow = ShadowMemory(CostMeter(profile, CacheSim()), space, 1, 8,
+                              make_values)
+        shadow.fill_range(0x1000_0000, 17, 0, 0, 1, 5)  # 3 words
+        assert len(shadow) == 3
+        assert shadow.fold_range(0x1000_0000, 17, 0, 0, 1) == 5
+        assert shadow.fold_range(0x1000_0018, 8, 0, 0, 1) == 0
+        # each range op is one wide access over its run of slots
+        assert profile.metadata_ops == 3
+        assert profile.metadata_bytes == 4096
 
     def test_slot_addresses_offset_linear(self, meter, space):
         shadow = ShadowMemory(meter, space, 4, 8, make_values)

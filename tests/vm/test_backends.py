@@ -17,7 +17,10 @@ all three backends in the default run.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
+import json
+import pathlib
 
 import pytest
 
@@ -26,6 +29,18 @@ from repro.vm import Interpreter
 from repro.workloads import ALL
 
 SPECS = ["plain"] + sorted(ANALYSIS_SPECS)
+
+#: Compiled-backend observables of every workload x spec pair, recorded
+#: before the cost model's wall-clock rewrites (fused touch, register
+#: hits, bulk ranges).  The backends share the runtime, cache simulator
+#: and generated handlers, so backend agreement alone cannot catch a
+#: drift there; this file can.  Regenerate only from a commit whose
+#: cycles are known right: ``PYTHONPATH=src python -m tests.vm.test_backends``.
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "observables.json"
+
+#: profile-guided training runs pinned in the golden file
+PGO_WORKLOAD = "radix"
+PGO_ANALYSES = ("eraser", "fasttrack")
 
 
 def _observe(workload, spec: str, backend: str):
@@ -44,9 +59,52 @@ def _observe(workload, spec: str, backend: str):
     return dataclasses.asdict(profile), list(vm.reporter), vm._fire_seq
 
 
+def _golden_record(observed) -> dict:
+    """The pinned summary of one compiled-backend observation."""
+    profile, reports, seq = observed
+    blob = json.dumps(
+        [profile, [dataclasses.asdict(report) for report in reports], seq],
+        sort_keys=True,
+    )
+    return {
+        "instructions": profile["instructions"],
+        "base_cycles": profile["base_cycles"],
+        "mem_cycles": profile["mem_cycles"],
+        "instr_cycles": profile["instr_cycles"],
+        "cache": profile["cache"],
+        "metadata_ops": profile["metadata_ops"],
+        "metadata_bytes": profile["metadata_bytes"],
+        "handler_calls": profile["handler_calls"],
+        "reports": len(reports),
+        "sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
+    }
+
+
+def _pgo_counts(analysis: str) -> dict:
+    import importlib
+
+    from repro.compiler.profile_guided import profile_analysis
+
+    source = importlib.import_module(f"repro.analyses.{analysis}").SOURCE
+    workload = ALL[PGO_WORKLOAD]
+    profile = profile_analysis(
+        source,
+        lambda: workload.make_module(1),
+        extern=workload.make_extern(),
+        input_lines=list(workload.input_lines),
+    )
+    return dict(sorted(profile.counts.items()))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
 @pytest.mark.parametrize("name", sorted(ALL))
-def test_profiles_bit_identical(name):
-    """All analysis specs on one workload: profiles, reports, event seq."""
+def test_profiles_bit_identical(name, golden):
+    """All analysis specs on one workload: profiles, reports, event seq,
+    and the compiled backend against the committed golden observables."""
     workload = ALL[name]
     for spec in SPECS:
         reference = _observe(workload, spec, "reference")
@@ -54,6 +112,16 @@ def test_profiles_bit_identical(name):
         assert reference[0] == compiled[0], f"{name}/{spec}: profile differs"
         assert reference[1] == compiled[1], f"{name}/{spec}: reports differ"
         assert reference[2] == compiled[2], f"{name}/{spec}: event seq differs"
+        assert _golden_record(compiled) == golden["runs"][f"{name}/{spec}"], (
+            f"{name}/{spec}: observables drifted from the golden file"
+        )
+
+
+@pytest.mark.parametrize("analysis", PGO_ANALYSES)
+def test_pgo_access_counts_golden(analysis, golden):
+    """Profile-guided training counts every field access the handlers
+    make: none may become an uncounted register hit."""
+    assert _pgo_counts(analysis) == golden["pgo"][analysis]
 
 
 def test_figure3_table_identical_across_backends():
@@ -279,3 +347,14 @@ entry:
         outcomes[backend] = (vm.profile.instructions, vm.profile.base_cycles)
     assert outcomes["reference"] == outcomes["compiled"]
     assert outcomes["reference"] == outcomes["bytecode"]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({
+        "runs": {
+            f"{name}/{spec}": _golden_record(_observe(ALL[name], spec, "compiled"))
+            for name in sorted(ALL)
+            for spec in SPECS
+        },
+        "pgo": {analysis: _pgo_counts(analysis) for analysis in PGO_ANALYSES},
+    }, indent=1, sort_keys=True) + "\n")
